@@ -21,6 +21,7 @@ from repro.storage.allocation import (
     subtree_tiling_allocation,
 )
 from repro.storage.blockstore import TensorBlockStore
+from repro.storage.device import StorageSpec
 from repro.query.propolyne import translate_query
 from repro.wavelets.dwt import max_levels
 from repro.wavelets.filters import get_filter
@@ -34,7 +35,9 @@ def build_store(coeffs, allocation_factory, pool):
     alloc = TensorAllocation(
         axes=(allocation_factory(n1, 7), allocation_factory(n2, 7))
     )
-    return TensorBlockStore(coeffs, alloc, pool_capacity=pool)
+    return TensorBlockStore(
+        coeffs, alloc, storage=StorageSpec(cache_blocks=pool)
+    )
 
 
 def run_workload(store, queries, shape, levels, filt):

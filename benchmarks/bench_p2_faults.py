@@ -26,6 +26,7 @@ from repro.faults import CircuitBreaker, FaultPlan, RetryPolicy
 from repro.obs import counter as obs_counter
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
+from repro.storage.device import StorageSpec
 
 from conftest import format_table
 
@@ -49,10 +50,14 @@ def build_engine(fault_rate: float) -> ProPolyneEngine:
         cube,
         max_degree=1,
         block_size=7,
-        pool_capacity=POOL_CAPACITY,
-        fault_plan=plan,
-        retry_policy=RetryPolicy(max_attempts=4, base_delay_s=0.0002),
-        breaker=CircuitBreaker(failure_threshold=8, recovery_timeout_s=0.02),
+        storage=StorageSpec(
+            cache_blocks=POOL_CAPACITY,
+            fault_plan=plan,
+            retry_policy=RetryPolicy(max_attempts=4, base_delay_s=0.0002),
+            breaker=CircuitBreaker(
+                failure_threshold=8, recovery_timeout_s=0.02
+            ),
+        ),
     )
 
 

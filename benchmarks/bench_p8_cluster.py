@@ -206,7 +206,7 @@ def run_kill_primary(frontend, config, queries, cube) -> dict:
 def run_benchmark() -> dict:
     cube = make_cube()
     queries = workload()
-    config = AIMSConfig(shards=2, pool_capacity=32)
+    config = AIMSConfig(shards=2, cache_blocks=32)
     system = AIMS(config)
     with system.cluster(backends=N_BACKENDS, workers=2) as frontend:
         for tenant in TENANTS:

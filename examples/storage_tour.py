@@ -50,7 +50,7 @@ def main() -> None:
     # ---- 2. archive + locality ----------------------------------------------
     print("\n== archive with a caching device layer ==")
     archive = SignalArchive(signal, wavelet="db2", block_size=7,
-                            pool_capacity=1024)
+                            cache_blocks=1024)
     print(f"signal: {signal.size} samples -> {archive.n_blocks} blocks")
     archive.retrieve_exact()
     before = archive.store.io_snapshot()

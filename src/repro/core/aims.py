@@ -60,7 +60,7 @@ class AIMSConfig:
             subsystem must answer exactly.
         block_size: Per-axis virtual disk-block size for coefficient
             tiling.
-        pool_capacity: Optional block-cache size in blocks (the
+        cache_blocks: Optional block-cache size in blocks (the
             device stack's caching layer).
         shards: Number of storage shards each populated cube stripes
             its blocks across (1 = unsharded).
@@ -72,7 +72,7 @@ class AIMSConfig:
     sampler: str = "adaptive"
     max_degree: int = 2
     block_size: int = 7
-    pool_capacity: int | None = None
+    cache_blocks: int | None = None
     shards: int = 1
     replicas: int = 0
 
@@ -210,9 +210,7 @@ class AIMS:
         self,
         name: str,
         cube: np.ndarray,
-        fault_plan=None,
-        retry_policy=None,
-        breaker=None,
+        *,
         storage=None,
     ) -> ProPolyneEngine:
         """Transform a frequency cube and put it on tiled block storage.
@@ -220,11 +218,9 @@ class AIMS:
         The resulting engine answers exact, approximate and progressive
         polynomial range-sums under ``name``.  Storage is built from a
         declarative :class:`~repro.storage.device.StorageSpec`: either
-        the one passed as ``storage``, or one composed from the config
-        (``shards``/``pool_capacity``) plus the optional
-        ``fault_plan`` / ``retry_policy`` / ``breaker`` knobs (see
-        :mod:`repro.faults`).  With none of them set the storage path
-        is exactly the pre-resilience one.
+        the one passed as ``storage`` (faults, retries and breakers are
+        declared there), or one composed from the config's ``shards`` /
+        ``cache_blocks`` / ``replicas``.
         """
         if name in self._engines:
             raise AIMSError(f"cube {name!r} already populated")
@@ -233,17 +229,8 @@ class AIMS:
 
             storage = StorageSpec(
                 shards=self.config.shards,
-                cache_blocks=self.config.pool_capacity,
-                fault_plan=fault_plan,
-                retry_policy=retry_policy,
-                breaker=breaker,
+                cache_blocks=self.config.cache_blocks,
                 replicas=self.config.replicas,
-            )
-        elif (fault_plan is not None or retry_policy is not None
-                or breaker is not None):
-            raise AIMSError(
-                "pass either a StorageSpec or fault/retry/breaker "
-                "kwargs, not both"
             )
         with span("query.populate"):
             engine = ProPolyneEngine(
@@ -354,7 +341,7 @@ class AIMS:
         :class:`~repro.cluster.frontend.ClusterFrontend` routing
         ``(tenant, dataset)`` namespaces over them by consistent
         hashing.  Per-namespace storage defaults to the config's
-        ``shards`` / ``pool_capacity`` / ``replicas`` via a fresh spec
+        ``shards`` / ``cache_blocks`` / ``replicas`` via a fresh spec
         per namespace (stateful spec members are never shared);
         ``storage_factory`` overrides that.
 
@@ -374,7 +361,7 @@ class AIMS:
             def storage_factory() -> StorageSpec:
                 return StorageSpec(
                     shards=config.shards,
-                    cache_blocks=config.pool_capacity,
+                    cache_blocks=config.cache_blocks,
                     replicas=config.replicas,
                 )
 

@@ -11,11 +11,10 @@ controlled failure and bounded recovery.
 * :mod:`repro.faults.retry` — :class:`RetryPolicy`, exponential backoff
   with jitter under a hard total-sleep budget;
 * :mod:`repro.faults.breaker` — :class:`CircuitBreaker`, fast failure
-  for persistent outages with half-open recovery probes;
-* :mod:`repro.faults.resilience` — :class:`ResilientCaller`, the
-  retry+breaker stack the
-  :class:`~repro.storage.device.ResilientDevice` layer threads reads
-  through.
+  for persistent outages with half-open recovery probes.
+
+The :class:`~repro.storage.device.ResilientDevice` layer composes the
+retry policy and the breaker at the device seam.
 
 Degradation semantics, tuning knobs and the ``faults.*`` / ``retry.*``
 / ``breaker.*`` metric catalogue are documented in
@@ -30,37 +29,16 @@ from repro.faults.plan import (
     InjectedReadError,
     InjectedWriteError,
 )
-from repro.faults.resilience import ResilientCaller
 from repro.faults.retry import TRANSIENT_ERRORS, RetryPolicy
 
 __all__ = [
     "CircuitBreaker",
     "FaultPlan",
     "FaultyDevice",
-    "FaultyDisk",
     "InjectedFault",
     "InjectedReadError",
     "InjectedWriteError",
-    "ResilientCaller",
     "RetryPolicy",
     "TRANSIENT_ERRORS",
 ]
 
-
-def FaultyDisk(block_size, plan=None, injecting=True, latency_s=0.0):
-    """Deprecated shim for the pre-device-stack ``FaultyDisk`` type.
-
-    The fault-injecting disk subclass was rehomed as
-    :class:`~repro.faults.plan.FaultyDevice` middleware over a plain
-    :class:`~repro.storage.disk.SimulatedDisk`.  This constructor keeps
-    old call sites working by building that two-layer stack; new code
-    should declare faults through
-    :class:`~repro.storage.device.StorageSpec` instead.
-    """
-    from repro.storage.disk import SimulatedDisk
-
-    return FaultyDevice(
-        SimulatedDisk(block_size=block_size, latency_s=latency_s),
-        plan=plan,
-        injecting=injecting,
-    )

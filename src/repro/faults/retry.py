@@ -135,7 +135,7 @@ class RetryPolicy:
         and ``retry.sleep_seconds`` (total backoff slept).  Re-raises
         the final transient error on give-up — callers wanting a typed
         failure wrap it (see
-        :class:`repro.faults.resilience.ResilientCaller`).
+        :class:`repro.storage.device.ResilientDevice`).
 
         Args:
             fn: The operation (typically a block read).

@@ -248,18 +248,9 @@ class ProPolyneEngine:
             the filter gets ``max_degree + 1`` vanishing moments so those
             queries transform sparsely.
         block_size: Per-axis virtual block size for the tiling allocation.
-        pool_capacity: Optional cache size (blocks) — legacy kwarg,
-            folded into a :class:`~repro.storage.device.StorageSpec`.
-        fault_plan: Optional :class:`~repro.faults.plan.FaultPlan` — the
-            store's device stack injects faults per that schedule.
-        retry_policy: Optional :class:`~repro.faults.retry.RetryPolicy`
-            absorbing transient read faults.
-        breaker: Optional :class:`~repro.faults.breaker.CircuitBreaker`
-            failing reads fast during persistent outages.
-        storage: Full declarative
-            :class:`~repro.storage.device.StorageSpec` (shards, cache,
-            faults, resilience, latency); mutually exclusive with the
-            four legacy kwargs above.
+        storage: Declarative :class:`~repro.storage.device.StorageSpec`
+            (shards, cache, faults, resilience, latency); ``None`` means
+            a plain uncached device.
     """
 
     def __init__(
@@ -267,10 +258,7 @@ class ProPolyneEngine:
         cube: np.ndarray,
         max_degree: int = 2,
         block_size: int = 7,
-        pool_capacity: int | None = None,
-        fault_plan=None,
-        retry_policy=None,
-        breaker=None,
+        *,
         storage=None,
     ) -> None:
         if max_degree < 0:
@@ -291,10 +279,6 @@ class ProPolyneEngine:
             original_shape,
             max_degree,
             block_size,
-            pool_capacity=pool_capacity,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            breaker=breaker,
             storage=storage,
         )
 
@@ -304,10 +288,6 @@ class ProPolyneEngine:
         original_shape: tuple[int, ...],
         max_degree: int,
         block_size: int,
-        pool_capacity: int | None = None,
-        fault_plan=None,
-        retry_policy=None,
-        breaker=None,
         storage=None,
     ) -> None:
         self.original_shape = tuple(original_shape)
@@ -324,15 +304,7 @@ class ProPolyneEngine:
                 subtree_tiling_allocation(n, block_size) for n in self.shape
             )
         )
-        self.store = TensorBlockStore(
-            coeffs,
-            allocation,
-            pool_capacity=pool_capacity,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            breaker=breaker,
-            storage=storage,
-        )
+        self.store = TensorBlockStore(coeffs, allocation, storage=storage)
         self.breaker = self.store.breaker
         blocks = allocation.build_blocks(coeffs)
         self._block_norms = {

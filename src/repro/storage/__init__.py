@@ -31,9 +31,10 @@ from repro.storage.device import (
 from repro.storage.disk import IOStats, SimulatedDisk
 from repro.storage.epochs import AsOfStore, EpochLog, EpochRecord
 from repro.storage.latency import LatencyModel
+from repro.storage.placement import place
 from repro.storage.retrieval import ProgressiveSignal, SignalArchive
 from repro.storage.scheduler import BlockPlan, plan_blocks
-from repro.storage.sharding import ShardedDevice, place
+from repro.storage.sharding import ShardedDevice
 
 __all__ = [
     "SimulatedDisk",

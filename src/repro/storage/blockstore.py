@@ -13,11 +13,9 @@ Storage configuration is declarative: both stores take a
 framing, fault injection, retry/breaker resilience, simulated latency)
 and build the canonical validated middleware stack from it — caching,
 corruption detection, retries and fault injection are all the *device's*
-layers now, not special cases inside the store.  The legacy keyword
-arguments (``pool_capacity``/``fault_plan``/``retry_policy``/
-``breaker``) are folded into an equivalent spec, so with none of them
-configured construction and reads are exactly the pre-resilience code
-path (regression-tested to be bitwise-identical).
+layers, not special cases inside the store.  The spec is the only way
+to configure a store's storage; omitting it builds a plain uncached
+device.
 """
 
 from __future__ import annotations
@@ -35,30 +33,13 @@ from repro.storage.disk import IOStats
 __all__ = ["WaveletBlockStore", "TensorBlockStore"]
 
 
-def _compose_spec(
-    storage, pool_capacity, fault_plan, retry_policy, breaker
-) -> StorageSpec:
-    """One spec from either the declarative argument or legacy kwargs."""
-    if storage is not None:
-        if (pool_capacity is not None or fault_plan is not None
-                or retry_policy is not None or breaker is not None):
-            raise StorageError(
-                "pass either a StorageSpec or legacy storage kwargs, "
-                "not both"
-            )
-        return storage
-    return StorageSpec(
-        cache_blocks=pool_capacity,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-        breaker=breaker,
-    )
-
-
 class _StoreBase:
     """Device-stack plumbing shared by both block stores."""
 
-    def _init_storage(self, spec: StorageSpec, block_size: int) -> None:
+    def _init_storage(
+        self, spec: StorageSpec | None, block_size: int
+    ) -> None:
+        spec = StorageSpec() if spec is None else spec
         self.spec = spec
         self._built = spec.build(block_size)
         self.device = self._built.device
@@ -76,11 +57,6 @@ class _StoreBase:
                 self.device.write_block(block_id, items)
         finally:
             self._built.set_injecting(True)
-
-    @property
-    def disk(self):
-        """Deprecated alias for :attr:`device` (pre-stack call sites)."""
-        return self.device
 
     @property
     def caches(self) -> list:
@@ -172,10 +148,7 @@ class WaveletBlockStore(_StoreBase):
         self,
         flat: np.ndarray,
         allocation: Allocation,
-        pool_capacity: int | None = None,
-        fault_plan=None,
-        retry_policy=None,
-        breaker=None,
+        *,
         storage: StorageSpec | None = None,
     ) -> None:
         values = np.asarray(flat, dtype=float)
@@ -185,10 +158,7 @@ class WaveletBlockStore(_StoreBase):
                 f"{allocation.n}"
             )
         self.allocation = allocation
-        spec = _compose_spec(
-            storage, pool_capacity, fault_plan, retry_policy, breaker
-        )
-        self._init_storage(spec, allocation.block_size)
+        self._init_storage(storage, allocation.block_size)
         self._populate(allocation.build_blocks(values))
         self._norm = float(np.linalg.norm(values))
 
@@ -254,10 +224,7 @@ class TensorBlockStore(_StoreBase):
         self,
         coeffs: np.ndarray,
         allocation: TensorAllocation,
-        pool_capacity: int | None = None,
-        fault_plan=None,
-        retry_policy=None,
-        breaker=None,
+        *,
         storage: StorageSpec | None = None,
     ) -> None:
         cube = np.asarray(coeffs, dtype=float)
@@ -267,10 +234,7 @@ class TensorBlockStore(_StoreBase):
                 f"{allocation.shape}"
             )
         self.allocation = allocation
-        spec = _compose_spec(
-            storage, pool_capacity, fault_plan, retry_policy, breaker
-        )
-        self._init_storage(spec, allocation.block_capacity)
+        self._init_storage(storage, allocation.block_capacity)
         self._populate(allocation.build_blocks(cube))
         self._norm = float(np.linalg.norm(cube.ravel()))
 

@@ -53,9 +53,15 @@ def decode_block(data: bytes) -> dict[Hashable, float]:
     """Decode an :func:`encode_block` frame, verifying its CRC first.
 
     Raises :class:`~repro.core.errors.CorruptedBlockError` (and ticks the
-    ``faults.crc_failures`` counter) on a bad magic, short frame, or CRC
-    mismatch — the body is never unpickled unless the checksum holds.
+    ``faults.crc_failures`` counter) on a payload that is not a byte
+    frame, a bad magic, short frame, or CRC mismatch — the body is never
+    unpickled unless the checksum holds.
     """
+    if not isinstance(data, (bytes, bytearray)):
+        obs_counter("faults.crc_failures").inc()
+        raise CorruptedBlockError(
+            f"block holds an unframed {type(data).__name__} payload"
+        )
     if len(data) < _HEADER.size or data[:4] != BLOCK_MAGIC:
         obs_counter("faults.crc_failures").inc()
         raise CorruptedBlockError(

@@ -42,7 +42,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Protocol, runtime_checkable
 
-from repro.core.errors import StorageError
+from repro.core.errors import StorageError, StorageUnavailable
 from repro.lint.lockwatch import watched_lock
 from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
@@ -489,19 +489,17 @@ class CrcFramedDevice(DeviceLayer):  # lint: ignore[obs-coverage] — transparen
                 self._counts[block_id] = len(items)
 
     def read_block(self, block_id: Hashable):
-        """Fetch one frame, verify its CRC, and decode the payload."""
-        data = self.inner.read_block(block_id)
-        if isinstance(data, (bytes, bytearray)):
-            return decode_block(bytes(data))
-        # Already-decoded payloads (a mixed legacy device) pass through.
-        return dict(data) if isinstance(data, dict) else data
+        """Fetch one frame, verify its CRC, and decode the payload.
+
+        Only this layer writes the disk below it, so anything that is
+        not an intact frame — including an unframed dictionary — fails
+        as :class:`~repro.core.errors.CorruptedBlockError`.
+        """
+        return decode_block(self.inner.read_block(block_id))
 
     def read_block_shared(self, block_id: Hashable):
         """Shared fetch: decoding already produces a fresh dictionary."""
-        data = self.inner.read_block_shared(block_id)
-        if isinstance(data, (bytes, bytearray)):
-            return decode_block(bytes(data))
-        return data
+        return decode_block(self.inner.read_block_shared(block_id))
 
     def occupancy(self) -> float:
         """Mean fraction of block item-capacity in use (tracked here —
@@ -520,38 +518,69 @@ class CrcFramedDevice(DeviceLayer):  # lint: ignore[obs-coverage] — transparen
 class ResilientDevice(DeviceLayer):
     """Retry + circuit-breaker middleware at the device seam.
 
-    Every read runs under a
-    :class:`~repro.faults.resilience.ResilientCaller`: transient faults
-    (``OSError``, CRC failures) are retried per the policy, persistent
-    failure trips the breaker, and exhaustion surfaces as one typed
-    :class:`~repro.core.errors.StorageUnavailable`.  Stacked *outside*
-    the cache, so a retried read is re-driven through the (uncached on
-    failure) miss path.  With neither a policy nor a breaker the layer
-    is an exact pass-through.
+    Every guarded operation runs under the breaker + retry discipline:
+    an open breaker fails fast, transient faults (``OSError``, CRC
+    failures) are retried per the policy, and exhaustion surfaces as
+    one typed :class:`~repro.core.errors.StorageUnavailable` — the
+    signal the query layer degrades on.  Fault flow::
+
+        FaultyDevice ──(transient error)──► RetryPolicy ──(budget spent)──┐
+                                                                        ▼
+        caller ◄──(StorageUnavailable)── CircuitBreaker ◄── record_failure
+
+    The breaker counts whole *operations* (a read plus all its
+    retries), not individual attempts: a read that recovers on retry is
+    a success.  Non-transient errors propagate unchanged and do not
+    touch the breaker (a missing block is a caller bug, not an
+    availability event).  Stacked *outside* the cache, so a retried
+    read is re-driven through the (uncached on failure) miss path.
+    With neither a policy nor a breaker the layer is an exact
+    pass-through.
     """
 
     def __init__(self, inner, retry_policy=None, breaker=None) -> None:
         super().__init__(inner)
         self.retry_policy = retry_policy
         self.breaker = breaker
-        if retry_policy is None and breaker is None:
-            self._caller = None
-        else:
-            from repro.faults.resilience import ResilientCaller
+        self._guarded = retry_policy is not None or breaker is not None
+        if self._guarded:
+            # Lazy: repro.faults imports this module for DeviceLayer.
+            from repro.faults.retry import TRANSIENT_ERRORS
 
-            self._caller = ResilientCaller(retry_policy, breaker)
+            self._transient = TRANSIENT_ERRORS
+
+    def _call(self, fn, *args):
+        """Run ``fn(*args)`` under the breaker + retry discipline."""
+        if not self._guarded:
+            return fn(*args)
+        breaker = self.breaker
+        if breaker is not None and not breaker.allow():
+            raise StorageUnavailable(
+                f"circuit breaker {breaker.name!r} is {breaker.state}; "
+                f"failing fast"
+            )
+        try:
+            if self.retry_policy is None:
+                result = fn(*args)
+            else:
+                result = self.retry_policy.execute(fn, *args)
+        except self._transient as exc:
+            if breaker is not None:
+                breaker.record_failure()
+            raise StorageUnavailable(
+                f"storage read kept failing past the retry budget: {exc}"
+            ) from exc
+        if breaker is not None:
+            breaker.record_success()
+        return result
 
     def read_block(self, block_id: Hashable):
         """Fetch one block under the retry/breaker stack."""
-        if self._caller is None:
-            return self.inner.read_block(block_id)
-        return self._caller.call(self.inner.read_block, block_id)
+        return self._call(self.inner.read_block, block_id)
 
     def read_block_shared(self, block_id: Hashable):
         """Shared fetch under the retry/breaker stack."""
-        if self._caller is None:
-            return self.inner.read_block_shared(block_id)
-        return self._caller.call(self.inner.read_block_shared, block_id)
+        return self._call(self.inner.read_block_shared, block_id)
 
     def read_many(self, block_ids: Iterable[Hashable]) -> dict:
         """Bulk fetch, each block independently guarded (one block's
@@ -568,10 +597,7 @@ class ResilientDevice(DeviceLayer):
         per block, as :meth:`read_many` does) keeps the inner layers'
         coalesced fan-out intact on the retried attempt.
         """
-        if self._caller is None:
-            self.inner.write_many(blocks)
-            return
-        self._caller.call(self.inner.write_many, blocks)
+        self._call(self.inner.write_many, blocks)
 
     def stats(self) -> dict:
         """Resilience configuration plus the inner layers' statistics."""
@@ -626,10 +652,10 @@ class DeviceStack:
     * ``caching`` — ``capacity`` (required);
     * ``crc`` — none;
     * ``faulty`` — ``plan`` (a :class:`~repro.faults.plan.FaultPlan`);
-    * ``disk`` — ``block_size`` (required), ``latency``
-      (:class:`~repro.storage.latency.LatencyModel`) or ``latency_s``,
-      and ``metered`` (default True: a ``storage.disk.*`` meter sits
-      directly above the leaf).
+    * ``disk`` — ``block_size`` (required), ``latency`` (a
+      :class:`~repro.storage.latency.LatencyModel`), and ``metered``
+      (default True: a ``storage.disk.*`` meter sits directly above
+      the leaf).
     """
 
     def __init__(self, layers) -> None:
@@ -684,12 +710,9 @@ class DeviceStack:
             if kind == "disk":
                 if "block_size" not in options:
                     raise StorageError("disk layer needs a block_size")
-                latency = options.get("latency")
-                if latency is None and options.get("latency_s"):
-                    latency = LatencyModel(base_s=options["latency_s"])
                 device = SimulatedDisk(
                     block_size=options["block_size"],
-                    latency=latency,
+                    latency=options.get("latency"),
                 )
                 built["disk"] = device
                 if options.get("metered", True):

@@ -56,12 +56,10 @@ class SimulatedDisk:  # lint: ignore[obs-coverage] — deliberately dumb leaf; s
     untouched; capacity is then that layer's business).  ``latency``
     is an optional :class:`~repro.storage.latency.LatencyModel` whose
     per-read delay (base seek time plus seeded spikes) is slept outside
-    the device lock; the legacy ``latency_s`` float is accepted and
-    folded into a model.
+    the device lock.
     """
 
     block_size: int
-    latency_s: float = 0.0
     latency: LatencyModel | None = None
     _blocks: dict[Hashable, object] = field(default_factory=dict)
     io: IOStats = field(default_factory=IOStats)
@@ -71,12 +69,6 @@ class SimulatedDisk:  # lint: ignore[obs-coverage] — deliberately dumb leaf; s
             raise StorageError(
                 f"block size must be positive, got {self.block_size}"
             )
-        if self.latency_s < 0:
-            raise StorageError(
-                f"read latency must be >= 0, got {self.latency_s}"
-            )
-        if self.latency is None and self.latency_s > 0.0:
-            self.latency = LatencyModel(base_s=self.latency_s)
         # Guards the block directory and the IOStats counters; never
         # held while sleeping simulated latency.
         self._lock = watched_lock("storage.disk")

@@ -1,14 +1,12 @@
 """One latency model for every simulated delay in the storage stack.
 
-Before the device refactor, simulated delays lived in two unrelated
-places: ``SimulatedDisk(latency_s=...)`` slept a fixed per-read seek
-time, and ``FaultyDisk`` drew independent *latency spikes* from its
-fault plan's RNG.  A benchmark could configure both and silently get
-contradictory delay budgets.  :class:`LatencyModel` consolidates them:
-one object owns the base per-read delay *and* the seeded spike
-distribution, every device sleeps through the same code path, and the
-``faults.injected.latency_spikes`` counter keeps ticking from the one
-place spikes are decided.
+A simulated delay has two parts: the leaf device's fixed per-read seek
+time and the fault plan's seeded *latency spikes*.  :class:`LatencyModel`
+is the one type that describes both: one object owns the base per-read
+delay *and* the seeded spike distribution, every device sleeps through
+the same code path, so a configuration cannot carry two contradictory
+delay budgets, and the ``faults.injected.latency_spikes`` counter ticks
+from the one place spikes are decided.
 
 Thread safety: draws come from one seeded RNG under a lock (so
 concurrent readers replay a deterministic spike schedule), while the

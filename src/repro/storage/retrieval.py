@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.errors import StorageError
 from repro.storage.allocation import Allocation, subtree_tiling_allocation
 from repro.storage.blockstore import WaveletBlockStore
+from repro.storage.device import StorageSpec
 from repro.wavelets.dwt import WaveletCoefficients, max_levels, wavedec, waverec
 from repro.wavelets.filters import get_filter
 
@@ -57,7 +58,8 @@ class SignalArchive:
         signal: The signal to archive (power-of-two length).
         wavelet: Filter name.
         block_size: Tiling block size.
-        pool_capacity: Optional buffer-pool size.
+        cache_blocks: Optional block-cache size (the device stack's
+            caching layer).
     """
 
     def __init__(
@@ -65,7 +67,7 @@ class SignalArchive:
         signal: np.ndarray,
         wavelet: str = "db2",
         block_size: int = 7,
-        pool_capacity: int | None = None,
+        cache_blocks: int | None = None,
     ) -> None:
         data = np.asarray(signal, dtype=float)
         if data.ndim != 1:
@@ -84,7 +86,7 @@ class SignalArchive:
         flat = wavedec(data, filt, levels=self.levels).to_flat()
         allocation = subtree_tiling_allocation(data.size, block_size)
         self.store = WaveletBlockStore(
-            flat, allocation, pool_capacity=pool_capacity
+            flat, allocation, storage=StorageSpec(cache_blocks=cache_blocks)
         )
         # Per-block energies, recorded at archive time for the
         # importance order and the residual bound.

@@ -32,9 +32,7 @@ from repro.storage.disk import IOStats
 from repro.storage.placement import place
 from repro.storage.scheduler import coalesce_by_shard
 
-# ``place`` lives in :mod:`repro.storage.placement` now (shared with the
-# cluster tier's HashRing) and is re-exported here for compatibility.
-__all__ = ["ShardedDevice", "place"]
+__all__ = ["ShardedDevice"]
 
 
 class ShardedDevice:  # lint: ignore[obs-coverage] — pure fan-out; StorageSpec wraps it in a storage.device MeteredDevice

@@ -54,6 +54,10 @@ from repro.query.ingest import BatchInserter
 
 __all__ = ["BandwidthCoordinator", "IngestService", "IngestSession"]
 
+#: Queued by :meth:`IngestService.stop` to wake a committer blocked
+#: waiting for the next point.
+_WAKE = object()
+
 
 @dataclass
 class BandwidthCoordinator:
@@ -319,12 +323,18 @@ class IngestService:
         return self
 
     def stop(self) -> None:
-        """Drain the queue, commit everything pending, stop the thread."""
+        """Drain the queue, commit everything pending, stop the thread.
+
+        Returns as soon as the queue is drained: a wake-up sentinel
+        ends the committer's wait for a next point, so stopping never
+        waits out ``poll_seconds``.
+        """
         with self._lock:
             thread, self._thread = self._thread, None
         if thread is None:
             return
         self._stop.set()
+        self._queue.put(_WAKE)
         thread.join()
 
     def __enter__(self) -> "IngestService":
@@ -412,18 +422,22 @@ class IngestService:
         points: list = []
         weights: list = []
         try:
-            point, weight = self._queue.get(timeout=self.poll_seconds)
+            item = self._queue.get(timeout=self.poll_seconds)
         except queue.Empty:
             return points, weights
-        points.append(point)
-        weights.append(weight)
-        while len(points) < self.commit_batch:
+        while True:
+            if item is _WAKE:
+                # stop()'s wake-up carries no point; it ends the batch.
+                self._queue.task_done()
+                break
+            points.append(item[0])
+            weights.append(item[1])
+            if len(points) == self.commit_batch:
+                break
             try:
-                point, weight = self._queue.get_nowait()
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
-            points.append(point)
-            weights.append(weight)
         return points, weights
 
     def _commit(self, points: list, weights: list) -> None:

@@ -59,7 +59,7 @@ class TestConfigPlumbing:
         assert engine.filter.name == "haar"
 
     def test_pool_capacity_enables_caching(self):
-        system = AIMS(AIMSConfig(pool_capacity=512))
+        system = AIMS(AIMSConfig(cache_blocks=512))
         engine = system.populate("c", np.abs(
             np.random.default_rng(0).normal(size=(32, 32))
         ))

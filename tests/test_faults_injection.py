@@ -12,7 +12,7 @@ import pytest
 from repro.core.errors import CorruptedBlockError, StorageError
 from repro.faults import (
     FaultPlan,
-    FaultyDisk,
+    FaultyDevice,
     InjectedFault,
     InjectedReadError,
     InjectedWriteError,
@@ -23,6 +23,7 @@ from repro.storage.codec import (
     decode_block,
     encode_block,
 )
+from repro.storage.device import DeviceStack
 from repro.storage.disk import SimulatedDisk
 
 
@@ -96,8 +97,16 @@ class TestFaultPlan:
         assert [op for op, _ in plan.history] == list(range(10))
 
 
-def make_disk(plan=None, **kwargs) -> FaultyDisk:
-    disk = FaultyDisk(block_size=8, plan=plan, **kwargs)
+def faulty_device(plan=None, block_size=8) -> FaultyDevice:
+    """A fault-injecting layer directly over a bare simulated disk."""
+    return DeviceStack([
+        ("faulty", {"plan": plan}),
+        ("disk", {"block_size": block_size, "metered": False}),
+    ]).build()
+
+
+def make_disk(plan=None) -> FaultyDevice:
+    disk = faulty_device(plan)
     for b in range(4):
         disk.write_block(b, {b: float(b)})
     return disk
@@ -180,7 +189,7 @@ class TestFaultyDevice:
         rng = np.random.default_rng(5)
         values = rng.normal(size=16)
         plan = FaultPlan(seed=1, latency_spike_rate=0.5, latency_spike_s=0.0)
-        disk = FaultyDisk(block_size=4, plan=plan)
+        disk = faulty_device(plan, block_size=4)
         for b in range(4):
             disk.write_block(
                 b, {4 * b + i: float(values[4 * b + i]) for i in range(4)}
@@ -191,15 +200,6 @@ class TestFaultyDevice:
             }
 
 class TestDeprecationShimAndLatency:
-    def test_faultydisk_shim_builds_a_faulty_device(self):
-        # The legacy constructor survives as a shim only; the instance it
-        # returns is the middleware layer over a plain simulated disk.
-        from repro.faults.plan import FaultyDevice
-
-        disk = FaultyDisk(block_size=8, latency_s=0.0)
-        assert isinstance(disk, FaultyDevice)
-        assert isinstance(disk.inner, SimulatedDisk)
-
     def test_plan_spikes_live_in_one_latency_model(self):
         # Consolidation guard: spike rate/duration are owned by the
         # plan's LatencyModel, the same mechanism as the leaf seek time,

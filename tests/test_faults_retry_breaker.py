@@ -13,8 +13,9 @@ import random
 import pytest
 
 from repro.core.errors import StorageError, StorageUnavailable
-from repro.faults import CircuitBreaker, ResilientCaller, RetryPolicy
+from repro.faults import CircuitBreaker, RetryPolicy
 from repro.faults.plan import InjectedReadError
+from repro.storage.device import ResilientDevice
 
 
 def policy_grid():
@@ -231,49 +232,63 @@ class TestCircuitBreaker:
         }
 
 
-class TestResilientCaller:
-    def test_wraps_exhausted_retries_as_storage_unavailable(self):
-        caller = ResilientCaller(
-            RetryPolicy(max_attempts=2, base_delay_s=0.0), None
-        )
+class ScriptedDevice:
+    """Inner device whose every read runs one scripted callable."""
 
+    def __init__(self, read) -> None:
+        self.read = read
+
+    def read_block(self, block_id):
+        return self.read()
+
+
+class TestResilientDevice:
+    def test_wraps_exhausted_retries_as_storage_unavailable(self):
         def always_fails():
             raise InjectedReadError("down")
 
+        device = ResilientDevice(
+            ScriptedDevice(always_fails),
+            retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.0),
+        )
         with pytest.raises(StorageUnavailable):
-            caller.call(always_fails)
+            device.read_block(0)
 
     def test_breaker_opens_then_fails_fast_without_calling(self):
         clock = FakeClock()
         breaker = CircuitBreaker(
             failure_threshold=2, recovery_timeout_s=1.0, clock=clock
         )
-        caller = ResilientCaller(None, breaker)
         calls = []
 
         def always_fails():
             calls.append(1)
             raise InjectedReadError("down")
 
+        device = ResilientDevice(ScriptedDevice(always_fails), breaker=breaker)
         for _ in range(2):
             with pytest.raises(StorageUnavailable):
-                caller.call(always_fails)
+                device.read_block(0)
         assert len(calls) == 2
         with pytest.raises(StorageUnavailable):
-            caller.call(always_fails)
-        assert len(calls) == 2  # rejected before the callable ran
+            device.read_block(0)
+        assert len(calls) == 2  # rejected before the inner read ran
 
     def test_success_path_passes_result_through(self):
-        caller = ResilientCaller(RetryPolicy(max_attempts=3), CircuitBreaker())
-        assert caller.call(lambda: {"a": 1.0}) == {"a": 1.0}
+        device = ResilientDevice(
+            ScriptedDevice(lambda: {"a": 1.0}),
+            retry_policy=RetryPolicy(max_attempts=3),
+            breaker=CircuitBreaker(),
+        )
+        assert device.read_block(0) == {"a": 1.0}
 
     def test_non_transient_errors_do_not_count_against_breaker(self):
         breaker = CircuitBreaker(failure_threshold=1)
-        caller = ResilientCaller(None, breaker)
 
         def broken():
             raise KeyError("missing")
 
+        device = ResilientDevice(ScriptedDevice(broken), breaker=breaker)
         with pytest.raises(KeyError):
-            caller.call(broken)
+            device.read_block(0)
         assert breaker.state == "closed"

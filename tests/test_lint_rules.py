@@ -163,7 +163,7 @@ class TestLayeringRules:
         wrappers = (
             "SimulatedDisk", "CachingDevice", "CrcFramedDevice",
             "MeteredDevice", "ResilientDevice", "FaultyDevice",
-            "ShardedDevice", "FaultyDisk",
+            "ShardedDevice",
         )
         for name in wrappers:
             source = f"x = {name}(inner)\n"
@@ -173,13 +173,24 @@ class TestLayeringRules:
             )
             assert ids(found) == ["layering-middleware-construction"], name
 
+    def test_only_the_plan_module_of_repro_faults_builds_layers(self):
+        source = "x = FaultyDevice(inner)\n"
+        assert findings_for(
+            source, "src/repro/faults/plan.py",
+            "layering-middleware-construction",
+        ) == []
+        found = findings_for(
+            source, "src/repro/faults/__init__.py",
+            "layering-middleware-construction",
+        )
+        assert ids(found) == ["layering-middleware-construction"]
+
     def test_builder_modules_may_construct(self):
         source = "x = CachingDevice(inner, capacity=4)\n"
         for path in (
             "src/repro/storage/device.py",
             "src/repro/storage/sharding.py",
             "src/repro/faults/plan.py",
-            "src/repro/faults/__init__.py",
         ):
             assert findings_for(
                 source, path, "layering-middleware-construction"

@@ -237,7 +237,7 @@ class TestFacadeMetrics:
         rng = np.random.default_rng(7)
         with use_registry(MetricsRegistry()):
             system = AIMS(
-                AIMSConfig(max_degree=1, block_size=7, pool_capacity=8)
+                AIMSConfig(max_degree=1, block_size=7, cache_blocks=8)
             )
             reg = system.metrics()
 

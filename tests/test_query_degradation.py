@@ -19,13 +19,15 @@ from repro.faults import CircuitBreaker, FaultPlan, RetryPolicy
 from repro.query.propolyne import ProPolyneEngine, QueryOutcome
 from repro.query.rangesum import RangeSumQuery
 from repro.query.service import QueryService
+from repro.storage.device import StorageSpec
 
 
 def build_engine(**resilience) -> ProPolyneEngine:
     rng = np.random.default_rng(11)
     cube = rng.poisson(2.0, (32, 32)).astype(float)
     return ProPolyneEngine(
-        cube, max_degree=1, block_size=7, pool_capacity=8, **resilience
+        cube, max_degree=1, block_size=7,
+        storage=StorageSpec(cache_blocks=8, **resilience),
     )
 
 

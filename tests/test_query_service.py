@@ -25,11 +25,11 @@ from repro.storage.device import StorageSpec
 from repro.storage.latency import LatencyModel
 
 
-def build_engine(shape=(32, 32), pool_capacity=16, seed=7, latency_s=0.0):
+def build_engine(shape=(32, 32), cache_blocks=16, seed=7, latency_s=0.0):
     rng = np.random.default_rng(seed)
     cube = rng.poisson(3.0, shape).astype(float)
     storage = StorageSpec(
-        cache_blocks=pool_capacity,
+        cache_blocks=cache_blocks,
         latency=LatencyModel(base_s=latency_s) if latency_s else None,
     )
     return ProPolyneEngine(cube, max_degree=1, storage=storage)
@@ -75,7 +75,7 @@ class TestConcurrentCorrectness:
     def test_stress_many_threads_submitting_concurrently(self):
         # >= 4 workers, plus several *submitting* threads, all racing on
         # one engine: every answer must match the serial reference.
-        engine = build_engine(shape=(64, 32), pool_capacity=8)
+        engine = build_engine(shape=(64, 32), cache_blocks=8)
         queries = mixed_workload(engine, count=40, seed=3)
         expected = {q: engine.evaluate_exact(q) for q in queries}
         failures = []
@@ -122,9 +122,9 @@ class TestConcurrentCorrectness:
 class TestSharedScans:
     def test_single_flight_deduplicates_concurrent_reads(self):
         # Slow the device down so readers genuinely overlap.
-        engine = build_engine(pool_capacity=None, latency_s=0.005)
+        engine = build_engine(cache_blocks=None, latency_s=0.005)
         coordinator = ScanCoordinator(engine.store)
-        block_id = engine.store.disk.block_ids()[0]
+        block_id = engine.store.device.block_ids()[0]
         before = engine.store.io_snapshot()
         results = []
         threads = [
@@ -148,9 +148,9 @@ class TestSharedScans:
         assert reads == stats["fetches"]  # only leaders touch the device
 
     def test_follower_copies_are_independent(self):
-        engine = build_engine(pool_capacity=None, latency_s=0.005)
+        engine = build_engine(cache_blocks=None, latency_s=0.005)
         coordinator = ScanCoordinator(engine.store)
-        block_id = engine.store.disk.block_ids()[0]
+        block_id = engine.store.device.block_ids()[0]
         results = []
         threads = [
             threading.Thread(
@@ -177,7 +177,7 @@ class TestSharedScans:
             )
 
     def test_scan_error_propagates_to_all_waiters(self):
-        engine = build_engine(pool_capacity=None)
+        engine = build_engine(cache_blocks=None)
         coordinator = ScanCoordinator(engine.store)
         with pytest.raises(Exception):
             coordinator.fetch_block(("no", "such", "block"))

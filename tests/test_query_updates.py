@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.errors import QueryError
 from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery, evaluate_on_cube
+from repro.storage.device import StorageSpec
 
 
 RNG = np.random.default_rng(131)
@@ -17,7 +18,8 @@ class TestInsert:
     def _fresh(self, shape=(32, 32), pool=None):
         cube = np.abs(RNG.normal(size=shape))
         return cube, ProPolyneEngine(
-            cube, max_degree=1, block_size=7, pool_capacity=pool
+            cube, max_degree=1, block_size=7,
+            storage=StorageSpec(cache_blocks=pool),
         )
 
     def test_insert_matches_rebuild(self):

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.storage.allocation import subtree_tiling_allocation
 from repro.storage.blockstore import WaveletBlockStore
-from repro.storage.device import CachingDevice
+from repro.storage.device import CachingDevice, StorageSpec
 from repro.storage.disk import SimulatedDisk
 
 
@@ -53,7 +53,8 @@ class TestWriteThroughInvalidation:
     def test_store_update_through_cache_is_coherent(self):
         flat = np.arange(16, dtype=float)
         store = WaveletBlockStore(
-            flat, subtree_tiling_allocation(16, 3), pool_capacity=8
+            flat, subtree_tiling_allocation(16, 3),
+            storage=StorageSpec(cache_blocks=8),
         )
         # Warm the cache over every block, then update one coefficient.
         store.fetch(list(range(16)))

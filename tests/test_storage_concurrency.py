@@ -206,15 +206,10 @@ class TestSimulatedLatency:
         from repro.core.errors import StorageError
 
         assert SimulatedDisk(block_size=2).latency is None
-        with pytest.raises(StorageError):
-            SimulatedDisk(block_size=2, latency_s=-0.1)
+        with pytest.raises(TypeError):
+            SimulatedDisk(block_size=2, latency_s=0.01)
         with pytest.raises(StorageError):
             LatencyModel(base_s=-0.1)
-
-    def test_legacy_latency_float_folds_into_the_model(self):
-        disk = SimulatedDisk(block_size=2, latency_s=0.01)
-        assert disk.latency is not None
-        assert disk.latency.base_s == 0.01
 
     def test_concurrent_reads_overlap_their_latency(self):
         import time

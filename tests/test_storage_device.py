@@ -130,6 +130,17 @@ class TestCrcDetectsEverySingleBitCorruption:
                 with pytest.raises(CorruptedBlockError):
                     decode_block(bytes(torn))
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_unframed_payload_beneath_the_crc_layer_is_corrupt(self, shared):
+        stack = DeviceStack(["crc", ("disk", {"block_size": 8})])
+        crc = stack.build()
+        # A raw dict written straight to the leaf never passed through
+        # the framing layer, so it carries no checksum to verify.
+        stack.layer("disk").write_block(0, {0: 1.0})
+        read = crc.read_block_shared if shared else crc.read_block
+        with pytest.raises(CorruptedBlockError):
+            read(0)
+
 
 class TestStorageSpec:
     def test_full_spec_builds_the_canonical_stack(self):
@@ -164,14 +175,34 @@ class TestStorageSpec:
         with pytest.raises(StorageError):
             StorageSpec(shards=2, fault_shards=(2,))
 
-    def test_legacy_kwargs_and_spec_are_mutually_exclusive(self):
+    @pytest.mark.parametrize(
+        "kwarg", ["pool_capacity", "fault_plan", "retry_policy", "breaker"]
+    )
+    def test_storage_is_configured_only_through_the_spec(self, kwarg):
         import numpy as np
 
-        from repro.storage.allocation import subtree_tiling_allocation
-        from repro.storage.blockstore import WaveletBlockStore
+        from repro.core.aims import AIMS
+        from repro.query.propolyne import ProPolyneEngine
+        from repro.storage.allocation import (
+            TensorAllocation,
+            subtree_tiling_allocation,
+        )
+        from repro.storage.blockstore import TensorBlockStore, WaveletBlockStore
 
-        with pytest.raises(StorageError):
+        extra = {kwarg: None}
+        with pytest.raises(TypeError):
             WaveletBlockStore(
-                np.zeros(8), subtree_tiling_allocation(8, 3),
-                pool_capacity=4, storage=StorageSpec(),
+                np.zeros(8), subtree_tiling_allocation(8, 3), **extra
             )
+        with pytest.raises(TypeError):
+            TensorBlockStore(
+                np.zeros((8, 8)),
+                TensorAllocation(
+                    axes=(subtree_tiling_allocation(8, 3),) * 2
+                ),
+                **extra,
+            )
+        with pytest.raises(TypeError):
+            ProPolyneEngine(np.zeros((8, 8)), max_degree=0, **extra)
+        with pytest.raises(TypeError):
+            AIMS().populate("c", np.zeros((8, 8)), **extra)

@@ -15,7 +15,8 @@ from repro.query.propolyne import ProPolyneEngine
 from repro.query.rangesum import RangeSumQuery
 from repro.storage.device import StorageSpec
 from repro.storage.disk import SimulatedDisk
-from repro.storage.sharding import ShardedDevice, place
+from repro.storage.placement import place
+from repro.storage.sharding import ShardedDevice
 
 
 def build_sharded(n_shards, block_size=8, **kwargs):

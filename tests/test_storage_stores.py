@@ -11,7 +11,7 @@ from repro.storage.allocation import (
 )
 from repro.storage.blobstore import BlobStore
 from repro.storage.blockstore import TensorBlockStore, WaveletBlockStore
-from repro.storage.device import CachingDevice
+from repro.storage.device import CachingDevice, StorageSpec
 from repro.storage.disk import SimulatedDisk
 from repro.storage.scheduler import plan_blocks
 from repro.wavelets.errortree import leaf_path
@@ -128,7 +128,9 @@ class TestWaveletBlockStore:
     def _store(self, n=64, block=7, pool=None):
         flat = RNG.normal(size=n)
         alloc = subtree_tiling_allocation(n, block)
-        return flat, WaveletBlockStore(flat, alloc, pool_capacity=pool)
+        return flat, WaveletBlockStore(
+            flat, alloc, storage=StorageSpec(cache_blocks=pool)
+        )
 
     def test_fetch_returns_exact_values(self):
         flat, store = self._store()

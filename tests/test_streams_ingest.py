@@ -325,6 +325,31 @@ class TestIngestService:
         assert not service.failed_batches
         assert service.committed_points == session.submitted
 
+    def test_stop_is_prompt_under_a_long_poll_and_commits_everything(self):
+        engine = _engine()
+        service = IngestService(engine, poll_seconds=60.0).start()
+        for i in range(40):
+            service.submit((i % 32, i % 7))
+        service.flush()
+        time.sleep(0.05)  # the committer is back waiting for a next point
+        start = time.perf_counter()
+        service.stop()
+        assert time.perf_counter() - start < 1.0
+        assert service.committed_points == 40
+        # Restarted, then stopped with points still queued: stop drains
+        # and commits every one of them before it returns.
+        service.start()
+        for i in range(24):
+            service.submit((i % 32, 31 - i % 5))
+        start = time.perf_counter()
+        service.stop()
+        assert time.perf_counter() - start < 1.0
+        assert service.committed_points == 64
+        assert service.queue_depth == 0
+        total = engine.evaluate_exact(RangeSumQuery.count([(0, 31), (0, 31)]))
+        assert total == pytest.approx(64.0)
+        service.stop()  # idempotent
+
     def test_commit_failure_keeps_points(self):
         engine = _engine()
 
